@@ -25,6 +25,12 @@
 //! 16+n    8     CRC-64/ECMA checksum over bytes [0, 16+n)
 //! ```
 //!
+//! The checksum is CRC-64/ECMA-182 (polynomial `0x42F0E1EBA9EA3693`,
+//! unreflected, zero init, no final xor; check value `0x6C40DF5F0B497347`).
+//! [`crc64`] computes it table-sliced, 16 bytes per step, and is bit-identical
+//! to the bytewise definition, so frames written by either read back under
+//! the other.
+//!
 //! | kind | payload |
 //! |------|---------|
 //! | 0 `Snapshot` | `capacity u64, rows u64, min_count f64, n u64, n × (item u64, count f64)` |
@@ -262,8 +268,15 @@ impl From<std::io::Error> for PersistError {
 
 const CRC64_POLY: u64 = 0x42F0_E1EB_A9EA_3693;
 
-const fn crc64_table() -> [u64; 256] {
-    let mut table = [0u64; 256];
+/// Bytes folded into the checksum per step of the sliced loop.
+const CRC64_SLICE: usize = 16;
+
+/// `tables[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
+/// `tables[0]` is the classic bytewise table; together the tables fold a
+/// whole 16-byte block into the state with one lookup per byte and no serial
+/// dependency between the lookups (slicing-by-16).
+const fn crc64_tables() -> [[u64; 256]; CRC64_SLICE] {
+    let mut tables = [[0u64; 256]; CRC64_SLICE];
     let mut i = 0;
     while i < 256 {
         let mut crc = (i as u64) << 56;
@@ -276,20 +289,64 @@ const fn crc64_table() -> [u64; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < CRC64_SLICE {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev << 8) ^ tables[0][(prev >> 56) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC64_TABLE: [u64; 256] = crc64_table();
+static CRC64_TABLES: [[u64; 256]; CRC64_SLICE] = crc64_tables();
 
 /// CRC-64 (ECMA-182, unreflected, zero init) over `bytes` — the frame checksum.
+///
+/// Computed slicing-by-16: bit-identical to the bytewise definition, which is
+/// kept as the test reference.
 #[must_use]
 pub fn crc64(bytes: &[u8]) -> u64 {
+    crc64_update(0, bytes)
+}
+
+/// Continues a CRC-64 from `state`, the checksum of the bytes before `bytes`:
+/// `crc64_update(crc64(a), b) == crc64(a ++ b)`. Lets a reader checksum a
+/// frame's header and payload without joining them into one buffer.
+#[must_use]
+pub fn crc64_update(state: u64, bytes: &[u8]) -> u64 {
+    let tables = &CRC64_TABLES;
+    let mut crc = state;
+    let mut blocks = bytes.chunks_exact(CRC64_SLICE);
+    for block in &mut blocks {
+        // The state is 8 bytes wide, so it folds into the block's first half;
+        // byte `k` of the block is then followed by `15 - k` more bytes.
+        let (head, tail) = block.split_at(8);
+        let head = (crc ^ u64::from_be_bytes(header_array(head))).to_be_bytes();
+        let mut next = 0;
+        for (k, (&hi, &lo)) in head.iter().zip(tail).enumerate() {
+            next ^= tables[15 - k][usize::from(hi)] ^ tables[7 - k][usize::from(lo)];
+        }
+        crc = next;
+    }
+    for &b in blocks.remainder() {
+        crc = tables[0][usize::from((crc >> 56) as u8 ^ b)] ^ (crc << 8);
+    }
+    crc
+}
+
+/// The bytewise CRC-64 definition: the reference the sliced loop must match.
+#[cfg(test)]
+fn crc64_bytewise(bytes: &[u8]) -> u64 {
     let mut crc = 0u64;
     for &b in bytes {
-        crc = CRC64_TABLE[(((crc >> 56) as u8) ^ b) as usize] ^ (crc << 8);
+        crc = CRC64_TABLES[0][usize::from((crc >> 56) as u8 ^ b)] ^ (crc << 8);
     }
     crc
 }
@@ -309,6 +366,14 @@ impl PayloadWriter {
     #[must_use]
     pub fn new() -> Self {
         Self { buf: Vec::new() }
+    }
+
+    /// An empty payload with room for `capacity` bytes reserved up front.
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(capacity),
+        }
     }
 
     /// Appends a `u32`, little-endian.
@@ -1358,6 +1423,51 @@ mod tests {
         let mut flipped = b"hello sketch".to_vec();
         flipped[3] ^= 0x10;
         assert_ne!(a, crc64(&flipped));
+    }
+
+    #[test]
+    fn crc64_matches_the_ecma_182_check_value() {
+        // The CRC catalogue's check value for CRC-64/ECMA-182.
+        assert_eq!(crc64(b"123456789"), 0x6C40_DF5F_0B49_7347);
+        assert_eq!(crc64_bytewise(b"123456789"), 0x6C40_DF5F_0B49_7347);
+    }
+
+    #[test]
+    fn sliced_crc64_equals_the_bytewise_reference() {
+        use rand::{RngCore, SeedableRng};
+        let mut buf = vec![0u8; CRC64_SLICE + 256];
+        rand::rngs::StdRng::seed_from_u64(0x0C0C_64EC).fill_bytes(&mut buf);
+        // Every start offset exercises a different block/remainder split.
+        for start in 0..CRC64_SLICE {
+            for len in 0..=256 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc64(bytes),
+                    crc64_bytewise(bytes),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc64_update_split_anywhere_equals_one_shot() {
+        let bytes: Vec<u8> = (0..200u32).map(|i| (i * 37 + 11) as u8).collect();
+        let whole = crc64(&bytes);
+        for split in 0..=bytes.len() {
+            let (head, tail) = bytes.split_at(split);
+            assert_eq!(crc64_update(crc64(head), tail), whole, "split {split}");
+        }
+    }
+
+    #[test]
+    fn snapshot_frame_checksum_is_pinned() {
+        // Captured from the bytewise implementation: any drift in the frame
+        // layout or the checksum changes this trailer.
+        let bytes = encode_snapshot(&sample_unbiased().snapshot());
+        assert_eq!(bytes.len(), 568);
+        let trailer = header_array(&bytes[bytes.len() - CHECKSUM_LEN..]);
+        assert_eq!(u64::from_le_bytes(trailer), 0x2314_B504_ED1E_8703);
     }
 
     #[test]

@@ -584,6 +584,13 @@ impl WindowedSketchStore {
         self.fine.iter().map(|f| (f.index, &f.sketch))
     }
 
+    /// Resident heap bytes of the live fine-bucket sketches, `O(fine_buckets)`
+    /// (see [`UnbiasedSpaceSaving::memory_bytes`]). Feeds the
+    /// `uss_sketch_memory_bytes` gauge from a worker's quiesce path.
+    fn memory_bytes(&self) -> u64 {
+        self.fine.iter().map(|f| f.sketch.memory_bytes()).sum()
+    }
+
     /// The buckets of coarse tier `t` (0 = finest coarse tier), ascending.
     ///
     /// # Panics
@@ -2481,6 +2488,11 @@ impl TemporalWorker {
         }
         self.rings.retain(|ring| !ring.is_finished());
         self.store.settle_all();
+        // Quiesce points (range reads, checkpoints, shutdown) sample the live
+        // sketches' resident size, off the per-block path.
+        self.metrics
+            .sketch_memory
+            .record_max(self.store.memory_bytes());
     }
 }
 

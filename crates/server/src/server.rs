@@ -571,11 +571,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
             code: ErrorCode::Internal,
             message: panic_message(&panic),
         });
-        if let Response::Error { code, message } = &response {
-            log_warn!("request failed ({:?}): {message}", code);
-            shared.metrics.count_error_frame(*code);
-        }
-        if write_frame(&mut stream, &response.encode()).is_err() {
+        if write_frame(&mut stream, &response_frame(&shared.metrics, &response)).is_err() {
             return;
         }
         // Counted after the write: a quiescent snapshot (all responses
@@ -590,6 +586,32 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
             return;
         }
     }
+}
+
+/// Encodes a handler's response, counting it when it is an error frame. An
+/// answer too large for one frame (a marginals roll-up over a huge sketch)
+/// becomes a typed `BadRequest` error instead: a frame past the ceiling would
+/// be rejected by every client, while the error keeps the connection aligned
+/// and serving.
+fn response_frame(metrics: &ServerMetrics, response: &Response) -> Vec<u8> {
+    let frame = match response.try_encode() {
+        Ok(frame) => frame,
+        // An error frame is small, so this recursion ends at once.
+        Err(err) => {
+            return response_frame(
+                metrics,
+                &Response::Error {
+                    code: ErrorCode::BadRequest,
+                    message: format!("answer exceeds the 16 MiB frame ceiling: {err}"),
+                },
+            )
+        }
+    };
+    if let Response::Error { code, message } = response {
+        log_warn!("request failed ({:?}): {message}", code);
+        metrics.count_error_frame(*code);
+    }
+    frame
 }
 
 /// Nanoseconds since `started`, saturated into a `u64` (580 years of range —
@@ -996,4 +1018,58 @@ fn serve_scrape(mut stream: TcpStream, shared: &Shared) {
     );
     let _ = stream.write_all(response.as_bytes());
     let _ = stream.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{decode_response_frame, MAX_PAYLOAD};
+    use uss_core::variance::ConfidenceInterval;
+    use uss_core::SubsetEstimate;
+
+    #[test]
+    fn oversized_answers_become_typed_errors() {
+        // A marginals roll-up over 300k bins: 300k × 56 B is past 16 MiB.
+        let entry = MarginalEntry {
+            key: 0,
+            estimate: SubsetEstimate {
+                sum: 1.0,
+                variance: 0.0,
+                items_in_sketch: 1,
+            },
+            ci: ConfidenceInterval {
+                lower: 1.0,
+                upper: 1.0,
+                confidence: 0.95,
+            },
+        };
+        let oversized = Response::MarginalsAnswer {
+            rows: 300_000,
+            entries: vec![entry; 300_000],
+        };
+        assert!(oversized.encode().len() > MAX_PAYLOAD);
+
+        let metrics = ServerMetrics::new();
+        let frame = response_frame(&metrics, &oversized);
+        match decode_response_frame(&frame) {
+            Ok(Response::Error { code, message }) => {
+                assert_eq!(code, ErrorCode::BadRequest);
+                assert!(message.contains("16 MiB"), "{message}");
+            }
+            other => panic!("expected a BadRequest error frame, got {other:?}"),
+        }
+        let bad_request = ErrorCode::BadRequest as usize - 1;
+        for (i, counter) in metrics.error_frames.iter().enumerate() {
+            assert_eq!(
+                counter.get(),
+                u64::from(i == bad_request),
+                "error code index {i}"
+            );
+        }
+
+        // A response that fits passes through untouched and uncounted.
+        let small = Response::Ingested { rows: 3 };
+        assert_eq!(response_frame(&metrics, &small), small.encode());
+        assert_eq!(metrics.error_frames[bad_request].get(), 1);
+    }
 }

@@ -22,6 +22,13 @@
 //! 16+n    8     CRC-64/ECMA checksum over bytes [0, 16+n)
 //! ```
 //!
+//! The checksum is the persist codec's [`crc64`]: table-sliced, 16 bytes per
+//! step, and bit-identical to the bytewise CRC-64/ECMA-182 definition. A frame
+//! is built in one buffer (header reserved, payload appended, length patched,
+//! trailer appended), and [`read_frame`] reads payload and trailer into one
+//! buffer and checksums the header and payload in place with
+//! [`crc64_update`], so neither side copies a payload.
+//!
 //! # Frame kinds and payloads
 //!
 //! Requests occupy `0x01..=0x08`; each response kind is its request kind with
@@ -78,7 +85,9 @@
 
 use std::io::{Read, Write};
 
-use uss_core::persist::{crc64, PayloadReader, PayloadWriter, PersistError, TemporalMeta};
+use uss_core::persist::{
+    crc64, crc64_update, PayloadReader, PayloadWriter, PersistError, TemporalMeta,
+};
 use uss_core::{HistogramSnapshot, Query, QueryAnswer, SubsetEstimate, TimeRange};
 use uss_core::variance::ConfidenceInterval;
 
@@ -413,18 +422,47 @@ fn header_array<const N: usize>(slice: &[u8]) -> [u8; N] {
     out
 }
 
-fn encode_frame(kind: u8, payload: Vec<u8>) -> Vec<u8> {
-    debug_assert!(payload.len() <= MAX_PAYLOAD);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    out.push(kind);
-    out.push(0);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let crc = crc64(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+/// Starts a frame in a single buffer sized for `payload_capacity` payload
+/// bytes: the 16-byte header goes in first, with its kind and length fields
+/// left for [`seal_frame`], and the payload is written straight after it.
+fn frame_writer(payload_capacity: usize) -> PayloadWriter {
+    let mut w = PayloadWriter::with_capacity(HEADER_LEN + payload_capacity + CHECKSUM_LEN);
+    w.bytes(&MAGIC);
+    w.bytes(&PROTOCOL_VERSION.to_le_bytes());
+    // Kind and reserved bytes, then the payload length.
+    w.bytes(&[0, 0]);
+    w.u64(0);
+    w
+}
+
+/// Completes a [`frame_writer`] buffer: patches in the kind and payload
+/// length, then appends the CRC-64 trailer.
+fn seal_frame(kind: u8, mut frame: Vec<u8>) -> Vec<u8> {
+    let len = (frame.len() - HEADER_LEN) as u64;
+    frame[6] = kind;
+    frame[8..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    let crc = crc64(&frame);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    frame
+}
+
+/// Encodes an `Ingest` request frame from borrowed rows, so a client can
+/// frame a slice of a larger batch without copying it into a [`Request`].
+/// Equal to `Request::Ingest { name, rows }.encode()`.
+#[must_use]
+pub fn encode_ingest(name: &str, rows: &[(u64, u64)]) -> Vec<u8> {
+    let mut w = frame_writer(4 + name.len() + 8 + 16 * rows.len());
+    write_name(&mut w, name);
+    w.u64(rows.len() as u64);
+    let mut frame = w.into_bytes();
+    // The buffer was sized exactly, so the rows fill it in place.
+    let start = frame.len();
+    frame.resize(start + 16 * rows.len(), 0);
+    for (out, &(item, ts)) in frame[start..].chunks_exact_mut(16).zip(rows) {
+        out[..8].copy_from_slice(&item.to_le_bytes());
+        out[8..].copy_from_slice(&ts.to_le_bytes());
+    }
+    seal_frame(KIND_INGEST, frame)
 }
 
 /// Validates a 16-byte frame header, returning `(kind, payload_len)`.
@@ -503,17 +541,16 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<(u8, Vec<u8>), WireError> {
     let mut header = [0u8; HEADER_LEN];
     reader.read_exact(&mut header)?;
     let (kind, len) = check_header(&header)?;
-    let mut rest = vec![0u8; len + CHECKSUM_LEN];
-    reader.read_exact(&mut rest)?;
-    let mut body = Vec::with_capacity(HEADER_LEN + len);
-    body.extend_from_slice(&header);
-    body.extend_from_slice(&rest[..len]);
-    let expected = u64::from_le_bytes(header_array(&rest[len..]));
-    if crc64(&body) != expected {
+    // Payload and trailer land in one buffer, and the checksum runs over the
+    // header and then the payload in place: nothing is copied or shifted.
+    let mut payload = vec![0u8; len + CHECKSUM_LEN];
+    reader.read_exact(&mut payload)?;
+    let expected = u64::from_le_bytes(header_array(&payload[len..]));
+    if crc64_update(crc64(&header), &payload[..len]) != expected {
         return Err(WireError::BadChecksum);
     }
-    body.drain(..HEADER_LEN);
-    Ok((kind, body))
+    payload.truncate(len);
+    Ok((kind, payload))
 }
 
 /// Writes one already-encoded frame to a socket-like writer.
@@ -935,7 +972,7 @@ impl Request {
     /// Encodes this request as one complete frame, ready to write to a socket.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::new();
+        let mut w = frame_writer(0);
         let kind = match self {
             Self::Ping => KIND_PING,
             Self::CreateStream { name, spec } => {
@@ -944,15 +981,7 @@ impl Request {
                 KIND_CREATE_STREAM
             }
             Self::ListStreams => KIND_LIST_STREAMS,
-            Self::Ingest { name, rows } => {
-                write_name(&mut w, name);
-                w.u64(rows.len() as u64);
-                for &(item, ts) in rows {
-                    w.u64(item);
-                    w.u64(ts);
-                }
-                KIND_INGEST
-            }
+            Self::Ingest { name, rows } => return encode_ingest(name, rows),
             Self::Query {
                 name,
                 range,
@@ -982,7 +1011,7 @@ impl Request {
             Self::Shutdown => KIND_SHUTDOWN,
             Self::Stats => KIND_STATS,
         };
-        encode_frame(kind, w.into_bytes())
+        seal_frame(kind, w.into_bytes())
     }
 
     /// Decodes a request from a frame's kind byte and payload, totally: any
@@ -1004,10 +1033,18 @@ impl Request {
             KIND_INGEST => {
                 let name = read_name(&mut r)?;
                 let n = r.count(16)?;
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rows.push((r.u64()?, r.u64()?));
-                }
+                // `count` has checked that the n × 16 row bytes are present.
+                let rows = r
+                    .take(n * 16)?
+                    .chunks_exact(16)
+                    .map(|row| {
+                        let (item, ts) = row.split_at(8);
+                        (
+                            u64::from_le_bytes(header_array(item)),
+                            u64::from_le_bytes(header_array(ts)),
+                        )
+                    })
+                    .collect();
                 Self::Ingest { name, rows }
             }
             KIND_QUERY => Self::Query {
@@ -1049,7 +1086,7 @@ impl Response {
     /// Encodes this response as one complete frame, ready to write to a socket.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::new();
+        let mut w = frame_writer(0);
         let kind = match self {
             Self::Pong { protocol } => {
                 w.bytes(&protocol.to_le_bytes());
@@ -1102,7 +1139,25 @@ impl Response {
                 KIND_ERROR
             }
         };
-        encode_frame(kind, w.into_bytes())
+        seal_frame(kind, w.into_bytes())
+    }
+
+    /// Encodes this response, refusing one whose payload exceeds
+    /// [`MAX_PAYLOAD`]: such a frame is well-formed, but every reader rejects
+    /// it from the header alone. [`Response::encode`] does not check, since
+    /// most responses are small by construction; a sender whose answers grow
+    /// with the data (a marginals roll-up over a huge sketch) calls this.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Oversized`] with the payload length.
+    pub fn try_encode(&self) -> Result<Vec<u8>, WireError> {
+        let frame = self.encode();
+        let len = frame.len() - HEADER_LEN - CHECKSUM_LEN;
+        if len > MAX_PAYLOAD {
+            return Err(WireError::Oversized(len as u64));
+        }
+        Ok(frame)
     }
 
     /// Decodes a response from a frame's kind byte and payload, totally.
@@ -1405,6 +1460,84 @@ mod tests {
                 assert!(decode_request_frame(&bad).is_err());
             }
         }
+    }
+
+    /// A multi-KB `Ingest` frame driven through [`read_frame`], the path a
+    /// socket takes: truncations and bit flips in header, payload and trailer
+    /// all surface as errors, never a panic or a silent pass.
+    #[test]
+    fn hostile_ingest_frames_through_read_frame_are_errors() {
+        let rows: Vec<(u64, u64)> = (0..256u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i / 3))
+            .collect();
+        let frame = encode_ingest("clicks", &rows);
+        assert!(frame.len() > 4096);
+        let read = |bytes: &[u8]| -> Result<Request, WireError> {
+            let (kind, payload) = read_frame(&mut std::io::Cursor::new(bytes))?;
+            Request::decode(kind, &payload)
+        };
+        let expected = Request::Ingest {
+            name: "clicks".into(),
+            rows,
+        };
+        assert_eq!(read(&frame).unwrap(), expected);
+
+        // Every cut through the header and trailer, and a stride of payload cuts.
+        let trailer = frame.len() - CHECKSUM_LEN;
+        for cut in (0..frame.len()).filter(|&c| c < 64 || c + 64 > frame.len() || c % 97 == 0) {
+            assert!(read(&frame[..cut]).is_err(), "prefix of {cut} bytes");
+        }
+        let flipped = (0..HEADER_LEN)
+            .chain((HEADER_LEN..trailer).step_by(61))
+            .chain(trailer..frame.len());
+        for byte in flipped {
+            for bit in 0..8 {
+                let mut bad = frame.clone();
+                bad[byte] ^= 1 << bit;
+                assert!(read(&bad).is_err(), "byte {byte} bit {bit}");
+            }
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Exact bytes captured from the bytewise-CRC, two-copy encoder: any
+    /// drift in framing, payload layout or checksum fails here.
+    #[test]
+    fn frames_match_pinned_golden_bytes() {
+        const INGEST: &str = "5553535701000400420000000000000006000000636c69636b73030000\
+                              000000000001000000000000006400000000000000efbeadde00000000\
+                              6500000000000000ffffffffffffffff660000000000000043c513cd5a\
+                              5f24cf";
+        const ANSWER: &str = "555353570100450039000000000000003930000000000000000000000000\
+                              7297400000000000204540070000000000000000000000003f97400000\
+                              000000a59740666666666666ee3f094e3a3afe1ca193";
+        let rows = vec![(1, 100), (0xDEAD_BEEF, 101), (u64::MAX, 102)];
+        assert_eq!(hex(&encode_ingest("clicks", &rows)), INGEST);
+        let ingest = Request::Ingest {
+            name: "clicks".into(),
+            rows,
+        };
+        assert_eq!(hex(&ingest.encode()), INGEST);
+
+        let answer = Response::Answer {
+            rows: 12_345,
+            answer: QueryAnswer::Estimate {
+                estimate: SubsetEstimate {
+                    sum: 1500.5,
+                    variance: 42.25,
+                    items_in_sketch: 7,
+                },
+                ci: ConfidenceInterval {
+                    lower: 1487.75,
+                    upper: 1513.25,
+                    confidence: 0.95,
+                },
+            },
+        };
+        assert_eq!(hex(&answer.encode()), ANSWER);
     }
 
     #[test]

@@ -133,6 +133,19 @@ fn stats_and_exposition_agree_with_each_other_and_ground_truth() {
         .map(|&(_, v)| v)
         .sum();
     assert_eq!(worker_rows, 10_000, "per-shard row counters sum to rows sent");
+    // The query quiesced every shard, and each quiesce samples the resident
+    // size of the shard's live bucket sketches.
+    let memory: Vec<u64> = stream
+        .samples
+        .iter()
+        .filter(|(name, _)| name.starts_with("uss_sketch_memory_bytes{"))
+        .map(|&(_, v)| v)
+        .collect();
+    assert_eq!(memory.len(), 2, "one sketch-memory gauge per shard");
+    assert!(
+        memory.iter().all(|&bytes| bytes > 0),
+        "sketch-memory gauge recorded for every shard: {memory:?}"
+    );
     assert_eq!(stream.requests[IDX_INGEST], 1);
     assert_eq!(stream.requests[IDX_QUERY], 1);
 

@@ -335,3 +335,40 @@ fn invalid_configs_and_unknown_streams_answer_typed_errors() {
     assert_eq!(client.ping().unwrap(), uss_server::PROTOCOL_VERSION);
     server.shutdown();
 }
+
+#[test]
+fn oversized_answers_are_typed_errors_and_the_connection_keeps_serving() {
+    let server = start_server();
+    let mut client = connect(&server);
+    // One shard, one bucket, room for every item: 300k distinct items make a
+    // shift-0 / full-mask marginals roll-up of 300k × 56 B, past 16 MiB.
+    let wide = TemporalMeta {
+        shards: 1,
+        capacity: 1 << 19,
+        seed: 5,
+        bucket_width: 1 << 20,
+        fine_buckets: 2,
+        tier_factor: 2,
+        tiers: 1,
+    };
+    client.create_stream("wide", wide).unwrap();
+    let rows: Vec<(u64, u64)> = (0..300_000).map(|item| (item, 0)).collect();
+    assert_eq!(client.ingest("wide", &rows).unwrap(), 300_000);
+
+    match client.marginals("wide", &TimeRange::All, 0, u64::MAX, 0.95) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::BadRequest);
+            assert!(message.contains("16 MiB"), "{message}");
+        }
+        other => panic!("expected a BadRequest error frame, got {other:?}"),
+    }
+    // The connection is still frame-aligned: a narrower roll-up answers.
+    let (rows_seen, entries) = client
+        .marginals("wide", &TimeRange::All, 16, u64::MAX, 0.95)
+        .unwrap();
+    assert_eq!(rows_seen, 300_000);
+    assert_eq!(entries.len(), 5);
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.error_frames[ErrorCode::BadRequest as usize - 1], 1);
+    server.shutdown();
+}
