@@ -12,8 +12,8 @@
 //! with queries *during* the stream, use [`crate::engine::ShardedIngestEngine`]
 //! directly.
 
-use crate::engine::{fold_reports, EngineConfig, ShardReport, ShardedIngestEngine};
-use crate::merge::{FOLD_MERGE_SALT, FOLD_OUT_SALT};
+use crate::engine::{EngineConfig, ShardedIngestEngine};
+use crate::merge::{fold_unbiased, FOLD_MERGE_SALT, FOLD_OUT_SALT};
 use crate::query::{QueryServer, QueryServerConfig};
 use crate::space_saving::{UnbiasedSpaceSaving, WeightedSpaceSaving};
 use crate::traits::StreamSketch;
@@ -93,14 +93,13 @@ impl DistributedSketcher {
     where
         I: IntoIterator<Item = UnbiasedSpaceSaving>,
     {
-        fold_reports(
+        fold_unbiased(
             self.capacity,
             self.seed ^ FOLD_MERGE_SALT,
             self.seed ^ FOLD_OUT_SALT,
-            sketches.into_iter().map(|sketch| ShardReport {
-                entries: sketch.entries(),
-                rows: sketch.rows_processed(),
-            }),
+            sketches
+                .into_iter()
+                .map(|sketch| (sketch.entries(), sketch.rows_processed())),
         )
     }
 
@@ -159,7 +158,7 @@ impl DistributedSketcher {
                 SketchKind::TemporalShard | SketchKind::TemporalLadderShard => {
                     // A bucket ring folds to its whole retained history first.
                     let (shard, meta, store) = persist::decode_temporal_shard(&bytes)?;
-                    let seed = meta.seed.wrapping_add(shard);
+                    let seed = crate::runtime::shard_seed(meta.seed, shard);
                     let folded = store.fold_range(0, u64::MAX, seed ^ FOLD_MERGE_SALT, seed ^ FOLD_OUT_SALT);
                     (folded.entries(), folded.rows_processed())
                 }
@@ -170,9 +169,9 @@ impl DistributedSketcher {
                     )))
                 }
             };
-            reports.push(ShardReport { entries, rows });
+            reports.push((entries, rows));
         }
-        Ok(fold_reports(
+        Ok(fold_unbiased(
             self.capacity,
             self.seed ^ FOLD_MERGE_SALT,
             self.seed ^ FOLD_OUT_SALT,
@@ -351,6 +350,14 @@ mod tests {
         assert_eq!(merged.rows_processed(), 500);
         let mass: f64 = merged.entries().iter().map(|(_, c)| c).sum();
         assert!((mass - 500.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn maximal_seed_sketches_without_overflow() {
+        // Regression: mapper seeds are derived with a wrapping add, so the
+        // second partition of a u64::MAX-seeded run no longer overflows.
+        let merged = DistributedSketcher::new(20, u64::MAX).sketch_partitions(&partitions());
+        assert_eq!(merged.rows_processed(), 4 * 3_000);
     }
 
     #[test]

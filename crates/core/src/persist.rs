@@ -1215,7 +1215,7 @@ pub fn decode_temporal_shard(
         capacity: checked_capacity(meta.capacity)?,
         // Wrapping: the sum is RNG material only, and a corrupt frame with a
         // huge seed must decode to Corrupt, never panic on overflow checks.
-        seed: meta.seed.wrapping_add(shard),
+        seed: crate::runtime::shard_seed(meta.seed, shard),
         bucket_width: meta.bucket_width,
         fine_buckets: usize::try_from(meta.fine_buckets).map_err(|_| {
             PersistError::Corrupt(format!(
@@ -1364,7 +1364,7 @@ impl ColdSnapshot {
                 // ladder nodes in a kind-8 frame are an index over the same
                 // buckets; the whole-history fold reads the buckets directly.)
                 let (shard, meta, store) = decode_temporal_shard(&bytes)?;
-                let seed = meta.seed.wrapping_add(shard);
+                let seed = crate::runtime::shard_seed(meta.seed, shard);
                 store
                     .fold_range(0, u64::MAX, seed ^ FOLD_MERGE_SALT, seed ^ FOLD_OUT_SALT)
                     .snapshot()

@@ -25,17 +25,16 @@
 //!   entries per shard, while the whole history stays queryable — accuracy
 //!   degrades gracefully with age: a range query is answered at the granularity
 //!   of the retained buckets, so resolution coarsens by `tier_factor` per tier.
-//! * [`TemporalIngestEngine`] — the concurrent engine, mirroring
-//!   [`crate::engine::ShardedIngestEngine`]: one [`WindowedSketchStore`] per
-//!   worker shard, timestamped rows routed by item hash through cloneable
-//!   batching [`TemporalIngestHandle`]s, window rotation and compaction running
-//!   inside the workers (no locks on the ingest path).
+//! * [`TemporalIngestEngine`] — one [`WindowedSketchStore`] per shard on the
+//!   crate's shard runtime, fed `(item, timestamp)` rows by
+//!   [`TemporalIngestHandle`]s. Rotation runs inside the workers; tier
+//!   compaction and ladder builds are deferred to idle slots and settled by
+//!   every quiesce.
 //! * Time-range queries — [`TemporalIngestEngine::range_snapshot`] folds every
 //!   retained bucket overlapping a [`TimeRange`] across all shards with the
-//!   unbiased PPS merge, using the engine's salted snapshot-seed sequence, so a
-//!   range answer is exactly the kind of merged sketch a
-//!   [`crate::engine::ShardedIngestEngine::snapshot`] produces (equation-5
-//!   variance and all). [`TemporalIngestEngine::range_source`] wraps a range as
+//!   unbiased PPS merge under the engine's salted snapshot-seed sequence: a
+//!   merged sketch with equation-5 variance and all.
+//!   [`TemporalIngestEngine::range_source`] wraps a range as
 //!   a [`SnapshotSource`], so the unchanged [`crate::query::QueryServer`] serves
 //!   all five [`crate::query::Query`] variants plus `marginals` over any range;
 //!   a small merged-range cache makes repeated queries at the same ingest
@@ -124,23 +123,18 @@
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
-use crate::engine::{EngineError, ShardFailure, ShardFault, ShardLink};
+use crate::engine::EngineError;
 use crate::estimator::SketchSnapshot;
 use crate::hash::splitmix64;
-use crate::metrics::{EngineMetrics, ShardMetrics, TemporalMetrics};
-use crate::spsc::{
-    block_channel_with_counters, BlockReceiver, BlockSender, RowBlock, Waker, BLOCK_CAP,
-};
 use crate::merge::{fold_unbiased, fold_unbiased_multiway, FOLD_MERGE_SALT, FOLD_OUT_SALT};
-use crate::persist::{self, PersistError};
+use crate::metrics::{EngineMetrics, TemporalMetrics};
+use crate::persist::{self, PersistError, TemporalManifest, TemporalMeta};
 use crate::query::SnapshotSource;
+use crate::runtime::{shard_seed, ProducerHandle, Resume, ShardRuntime, ShardState};
 use crate::space_saving::{UnbiasedSpaceSaving, WeightedSpaceSaving};
 use crate::traits::StreamSketch;
 
@@ -358,6 +352,85 @@ impl TierBucket {
     pub fn rows(&self) -> u64 {
         self.rows
     }
+
+    /// The bucket as a fold input.
+    fn report(&self) -> BucketReport {
+        BucketReport {
+            entries: self.entries.clone(),
+            rows: self.rows,
+        }
+    }
+
+    /// Checks a decoded image's entries (at most `capacity`, every count
+    /// finite and non-negative) and returns their total mass; `noun` names
+    /// the bucket in the error.
+    fn check_entries(&self, capacity: usize, noun: &str) -> Result<f64, String> {
+        if self.entries.len() > capacity {
+            let len = self.entries.len();
+            return Err(format!(
+                "{noun} holds {len} entries over capacity {capacity}"
+            ));
+        }
+        let mut mass = 0.0f64;
+        for &(_, c) in &self.entries {
+            if !c.is_finite() || c < 0.0 {
+                return Err(format!("{noun} count {c} must be finite and non-negative"));
+            }
+            mass += c;
+        }
+        Ok(mass)
+    }
+}
+
+/// Folds `parts` into one [`TierBucket`] over fine-bucket span `[start, end)`
+/// with the unbiased PPS fold (multi-way when `multiway`). The seeds derive
+/// from `base_seed`, the fold site's salt pair and the span alone, so the
+/// result is a deterministic function of the parts.
+fn fold_span<I>(
+    capacity: usize,
+    base_seed: u64,
+    (merge_salt, out_salt): (u64, u64),
+    (start, end): (u64, u64),
+    parts: I,
+    multiway: bool,
+) -> TierBucket
+where
+    I: IntoIterator<Item = BucketReport>,
+{
+    let salt = splitmix64(start ^ end.rotate_left(32));
+    let merged = fold_parts(
+        capacity,
+        base_seed ^ merge_salt ^ salt,
+        base_seed ^ out_salt ^ salt,
+        parts,
+        multiway,
+    );
+    TierBucket {
+        start,
+        end,
+        rows: merged.rows_processed(),
+        entries: merged.entries(),
+    }
+}
+
+/// Folds reports with the exact sequential fold, or with the one-reduction
+/// multi-way fold when `multiway` (pre-merged span reports).
+fn fold_parts<I>(
+    capacity: usize,
+    merge_seed: u64,
+    out_seed: u64,
+    parts: I,
+    multiway: bool,
+) -> WeightedSpaceSaving
+where
+    I: IntoIterator<Item = BucketReport>,
+{
+    let parts = parts.into_iter().map(|r| (r.entries, r.rows));
+    if multiway {
+        fold_unbiased_multiway(capacity, merge_seed, out_seed, parts)
+    } else {
+        fold_unbiased(capacity, merge_seed, out_seed, parts)
+    }
 }
 
 /// Compacts a group of bucket reports covering fine-bucket span `[start, end)`
@@ -373,19 +446,14 @@ pub fn compact_fold(
     end: u64,
     parts: Vec<BucketReport>,
 ) -> TierBucket {
-    let salt = splitmix64(start ^ end.rotate_left(32));
-    let merged = fold_unbiased(
+    fold_span(
         capacity,
-        base_seed ^ 0x00C0_FFEE ^ salt,
-        base_seed ^ 0xFACE ^ salt,
-        parts.into_iter().map(|b| (b.entries, b.rows)),
-    );
-    TierBucket {
-        start,
-        end,
-        rows: merged.rows_processed(),
-        entries: merged.entries(),
-    }
+        base_seed,
+        (0x00C0_FFEE, 0xFACE),
+        (start, end),
+        parts,
+        false,
+    )
 }
 
 /// One fine (still-ingesting) bucket: its index and full resumable sketch.
@@ -393,6 +461,16 @@ pub fn compact_fold(
 struct FineBucket {
     index: u64,
     sketch: UnbiasedSpaceSaving,
+}
+
+impl FineBucket {
+    /// The bucket as a fold input.
+    fn report(&self) -> BucketReport {
+        BucketReport {
+            entries: self.sketch.entries(),
+            rows: self.sketch.rows_processed(),
+        }
+    }
 }
 
 /// Seed salts for dyadic-ladder node folds and per-shard span pre-merges.
@@ -814,38 +892,28 @@ impl WindowedSketchStore {
     /// the range at all — the documented resolution degradation with age.
     #[must_use]
     pub fn range_reports(&self, start: u64, end: u64) -> Vec<BucketReport> {
-        let mut out = Vec::new();
-        if start >= end {
-            return out;
-        }
-        let overlaps = |s: u64, e: u64| s < end && e > start;
-        if let Some(term) = &self.terminal {
-            if overlaps(term.start, term.end) {
-                out.push(BucketReport {
-                    entries: term.entries.clone(),
-                    rows: term.rows,
-                });
-            }
-        }
-        for tier in self.tiers.iter().rev() {
-            for b in tier {
-                if overlaps(b.start, b.end) {
-                    out.push(BucketReport {
-                        entries: b.entries.clone(),
-                        rows: b.rows,
-                    });
-                }
-            }
-        }
-        for f in &self.fine {
-            if overlaps(f.index, f.index + 1) {
-                out.push(BucketReport {
-                    entries: f.sketch.entries(),
-                    rows: f.sketch.rows_processed(),
-                });
-            }
-        }
+        let mut out = self.coarse_reports(start, end);
+        out.extend(
+            self.fine
+                .iter()
+                .filter(|f| f.index >= start && f.index < end)
+                .map(FineBucket::report),
+        );
         out
+    }
+
+    /// The terminal and tier buckets overlapping `[start, end)`, oldest first
+    /// (terminal, then tiers coarsest-first).
+    fn coarse_reports(&self, start: u64, end: u64) -> Vec<BucketReport> {
+        if start >= end {
+            return Vec::new();
+        }
+        self.terminal
+            .iter()
+            .chain(self.tiers.iter().rev().flatten())
+            .filter(|b| b.start < end && b.end > start)
+            .map(TierBucket::report)
+            .collect()
     }
 
     /// Folds every retained bucket in `[start, end)` (fine-bucket indices) into
@@ -859,13 +927,12 @@ impl WindowedSketchStore {
         merge_seed: u64,
         out_seed: u64,
     ) -> WeightedSpaceSaving {
-        fold_unbiased(
+        fold_parts(
             self.config.capacity,
             merge_seed,
             out_seed,
-            self.range_reports(start, end)
-                .into_iter()
-                .map(|r| (r.entries, r.rows)),
+            self.range_reports(start, end),
+            false,
         )
     }
 
@@ -880,10 +947,7 @@ impl WindowedSketchStore {
         self.fine
             .binary_search_by_key(&index, |f| f.index)
             .ok()
-            .map(|i| BucketReport {
-                entries: self.fine[i].sketch.entries(),
-                rows: self.fine[i].sketch.rows_processed(),
-            })
+            .map(|i| self.fine[i].report())
     }
 
     /// Folds parts into a ladder node over `[start, end)`. Seeded from the
@@ -891,19 +955,15 @@ impl WindowedSketchStore {
     /// function of the leaves it covers — rebuildable at any time, on any
     /// restore, to the same bytes.
     fn ladder_node_fold(&self, start: u64, end: u64, parts: Vec<BucketReport>) -> TierBucket {
-        let salt = splitmix64(start ^ end.rotate_left(32));
-        let merged = fold_unbiased(
+        let salts = (LADDER_MERGE_SALT, LADDER_OUT_SALT);
+        fold_span(
             self.config.capacity,
-            self.config.seed ^ LADDER_MERGE_SALT ^ salt,
-            self.config.seed ^ LADDER_OUT_SALT ^ salt,
-            parts.into_iter().map(|b| (b.entries, b.rows)),
-        );
-        TierBucket {
-            start,
-            end,
-            rows: merged.rows_processed(),
-            entries: merged.entries(),
-        }
+            self.config.seed,
+            salts,
+            (start, end),
+            parts,
+            false,
+        )
     }
 
     /// Ensures the level-`level` node at aligned `start` exists, building it
@@ -948,10 +1008,7 @@ impl WindowedSketchStore {
                 // nothing and are skipped, so a node's fold sequence depends
                 // only on which covered leaves exist and what they hold.
                 if child.rows > 0 || !child.entries.is_empty() {
-                    parts.push(BucketReport {
-                        entries: child.entries.clone(),
-                        rows: child.rows,
-                    });
+                    parts.push(child.report());
                 }
             }
         }
@@ -1057,22 +1114,7 @@ impl WindowedSketchStore {
             if node.start < min_live || node.end > newest {
                 return Err("ladder node is outside the sealed retained window".into());
             }
-            if node.entries.len() > self.config.capacity {
-                return Err(format!(
-                    "ladder node holds {} entries over capacity {}",
-                    node.entries.len(),
-                    self.config.capacity
-                ));
-            }
-            let mut node_mass = 0.0f64;
-            for &(_, c) in &node.entries {
-                if !c.is_finite() || c < 0.0 {
-                    return Err(format!(
-                        "ladder node count {c} must be finite and non-negative"
-                    ));
-                }
-                node_mass += c;
-            }
+            let node_mass = node.check_entries(self.config.capacity, "ladder node")?;
             // A node is a mass-conserving fold of the leaves it covers.
             let covered = self
                 .fine
@@ -1111,30 +1153,11 @@ impl WindowedSketchStore {
     /// is `true` when no ladder node was used — the report list is then
     /// exactly what [`range_reports`](Self::range_reports) returns.
     pub fn range_reports_dyadic(&mut self, start: u64, end: u64) -> (Vec<BucketReport>, bool) {
-        let mut out = Vec::new();
-        let mut used_ladder = false;
         if start >= end {
-            return (out, true);
+            return (Vec::new(), true);
         }
-        let overlaps = |s: u64, e: u64| s < end && e > start;
-        if let Some(term) = &self.terminal {
-            if overlaps(term.start, term.end) {
-                out.push(BucketReport {
-                    entries: term.entries.clone(),
-                    rows: term.rows,
-                });
-            }
-        }
-        for tier in self.tiers.iter().rev() {
-            for b in tier {
-                if overlaps(b.start, b.end) {
-                    out.push(BucketReport {
-                        entries: b.entries.clone(),
-                        rows: b.rows,
-                    });
-                }
-            }
-        }
+        let mut out = self.coarse_reports(start, end);
+        let mut used_ladder = false;
         let Some(newest) = self.newest_bucket() else {
             return (out, true);
         };
@@ -1159,10 +1182,7 @@ impl WindowedSketchStore {
             if level >= 1 && self.ensure_node(level, x) {
                 let node = &self.ladder.levels[(level - 1) as usize][&x];
                 if node.rows > 0 || !node.entries.is_empty() {
-                    out.push(BucketReport {
-                        entries: node.entries.clone(),
-                        rows: node.rows,
-                    });
+                    out.push(node.report());
                     used_ladder = true;
                 }
                 x += 1u64 << level;
@@ -1198,17 +1218,16 @@ impl WindowedSketchStore {
         if reports.len() <= 1 {
             return (reports, raw);
         }
-        let salt = splitmix64(start ^ end.rotate_left(32));
-        let merged = fold_unbiased_multiway(
+        let salts = (SPAN_MERGE_SALT, SPAN_OUT_SALT);
+        let TierBucket { entries, rows, .. } = fold_span(
             self.config.capacity,
-            self.config.seed ^ SPAN_MERGE_SALT ^ salt,
-            self.config.seed ^ SPAN_OUT_SALT ^ salt,
-            reports.into_iter().map(|r| (r.entries, r.rows)),
+            self.config.seed,
+            salts,
+            (start, end),
+            reports,
+            true,
         );
-        let report = BucketReport {
-            entries: merged.entries(),
-            rows: merged.rows_processed(),
-        };
+        let report = BucketReport { entries, rows };
         self.span_memo.push_back(SpanMemo {
             start,
             end,
@@ -1235,12 +1254,7 @@ impl WindowedSketchStore {
         out_seed: u64,
     ) -> WeightedSpaceSaving {
         let (reports, raw) = self.indexed_range_reports(start, end);
-        let parts = reports.into_iter().map(|r| (r.entries, r.rows));
-        if raw {
-            fold_unbiased(self.config.capacity, merge_seed, out_seed, parts)
-        } else {
-            fold_unbiased_multiway(self.config.capacity, merge_seed, out_seed, parts)
-        }
+        fold_parts(self.config.capacity, merge_seed, out_seed, reports, !raw)
     }
 
     /// Rebuilds a store from persisted parts, rejecting images that violate the
@@ -1253,12 +1267,7 @@ impl WindowedSketchStore {
         late_rows: u64,
         last_ts: u64,
     ) -> Result<Self, String> {
-        if config.capacity == 0 || config.bucket_width == 0 || config.fine_buckets == 0 {
-            return Err("window geometry must be positive".into());
-        }
-        if config.tier_factor < 2 {
-            return Err("tier_factor must be at least 2".into());
-        }
+        config.validate().map_err(|err| err.to_string())?;
         if tiers.len() != config.tiers {
             return Err(format!(
                 "{} tiers in the image but the configuration has {}",
@@ -1297,18 +1306,7 @@ impl WindowedSketchStore {
             if b.start < last_end {
                 return Err(format!("{what} bucket overlaps an older span"));
             }
-            if b.entries.len() > config.capacity {
-                return Err(format!(
-                    "{what} bucket holds {} entries over capacity {}",
-                    b.entries.len(),
-                    config.capacity
-                ));
-            }
-            for &(_, c) in &b.entries {
-                if !c.is_finite() || c < 0.0 {
-                    return Err(format!("{what} bucket count {c} must be finite and non-negative"));
-                }
-            }
+            b.check_entries(config.capacity, &format!("{what} bucket"))?;
             last_end = b.end;
             Ok(())
         };
@@ -1343,25 +1341,17 @@ impl WindowedSketchStore {
             prev_fine = Some(*index);
             rows += sketch.rows_processed();
         }
-        Ok(Self {
-            ladder: DyadicLadder::new(ladder_max_level(config.fine_buckets)),
-            span_memo: VecDeque::new(),
-            pending_expired: VecDeque::new(),
-            defer_compaction: false,
-            spare: None,
-            config,
-            fine: fine
-                .into_iter()
-                .map(|(index, sketch)| FineBucket { index, sketch })
-                .collect(),
-            tiers: tiers.into_iter().map(VecDeque::from).collect(),
-            terminal,
-            rows,
-            late_rows,
-            last_ts,
-            metrics: Arc::new(TemporalMetrics::new()),
-            query_repair: false,
-        })
+        let mut store = Self::new(config);
+        store.fine = fine
+            .into_iter()
+            .map(|(index, sketch)| FineBucket { index, sketch })
+            .collect();
+        store.tiers = tiers.into_iter().map(VecDeque::from).collect();
+        store.terminal = terminal;
+        store.rows = rows;
+        store.late_rows = late_rows;
+        store.last_ts = last_ts;
+        Ok(store)
     }
 }
 
@@ -1369,7 +1359,7 @@ impl WindowedSketchStore {
 #[derive(Debug, Clone, Copy)]
 pub struct TemporalConfig {
     /// The per-shard window geometry. Shard `i`'s store is seeded
-    /// `window.seed + i`, exactly as the non-temporal engine seeds its shards.
+    /// `window.seed + i` (wrapping).
     pub window: WindowConfig,
     /// Number of worker shards (one OS thread and one store each).
     pub shards: usize,
@@ -1478,15 +1468,6 @@ impl TemporalConfig {
         self.queue_depth = queue_depth;
         self
     }
-
-    /// The per-(handle, shard) ring bound, in blocks: the block-channel
-    /// equivalent of "`queue_depth` batches of `batch_rows` rows" of producer
-    /// backpressure, exactly as on [`crate::engine::EngineConfig`].
-    pub(crate) fn ring_blocks(&self) -> usize {
-        (self.queue_depth * self.batch_rows)
-            .div_ceil(BLOCK_CAP)
-            .max(2)
-    }
 }
 
 /// A time range for queries against a [`TemporalIngestEngine`]. Ranges resolve
@@ -1509,37 +1490,6 @@ pub enum TimeRange {
     },
 }
 
-/// Control-plane messages to a temporal shard worker. Data rides the SPSC block
-/// rings (as on the non-temporal engine); this unbounded, rarely used channel
-/// carries everything else. Every request that observes store state first
-/// drains a *cut* of the data rings and settles deferred compaction.
-enum TemporalMsg {
-    /// A new producer ring of `(item, timestamp)` blocks to poll: sent when a
-    /// [`TemporalIngestHandle`] is created or cloned. The worker retires the
-    /// ring once the handle drops it and the remaining blocks are drained.
-    Register(BlockReceiver<(u64, u64)>),
-    /// Report the retained buckets overlapping `[start, end)` — through the
-    /// dyadic index (at most one pre-merged report), or every leaf when
-    /// `leaf` is set — plus whether the reply is raw (byte-identical to the
-    /// leaf path) and the store's total applied row count (the
-    /// cache-soundness watermark).
-    Range {
-        start: u64,
-        end: u64,
-        leaf: bool,
-        reply: Sender<(Vec<BucketReport>, bool, u64)>,
-    },
-    /// Reply with a full clone of the shard's store for a durable checkpoint.
-    Checkpoint(Sender<WindowedSketchStore>),
-    /// Drain a cut, settle, then stop — even if producer handles (and thus
-    /// rings feeding this shard) are still alive.
-    Shutdown,
-    /// Panic the worker immediately. A test-only fault injector (reachable via
-    /// `debug_kill_shard`) used to prove that control paths degrade into
-    /// [`EngineError::ShardDown`] instead of killing the daemon.
-    Poison,
-}
-
 /// How many distinct folded ranges the engine keeps cached. Small by design: a
 /// dashboard polls a handful of ranges, and every cache entry is a full
 /// snapshot.
@@ -1557,18 +1507,14 @@ struct CacheSlot {
     snapshot: Arc<SketchSnapshot>,
 }
 
-/// A live, concurrently-fed, time-partitioned sharded sketch. The temporal
-/// counterpart of [`crate::engine::ShardedIngestEngine`]; see the
+/// A live, concurrently-fed, time-partitioned sharded sketch: one
+/// [`WindowedSketchStore`] per shard on the crate's shard runtime, plus range
+/// resolution, the merged-range cache and the range folds. See the
 /// [module docs](self).
 #[derive(Debug)]
 pub struct TemporalIngestEngine {
     config: TemporalConfig,
-    links: Vec<ShardLink<TemporalMsg>>,
-    workers: Vec<JoinHandle<WindowedSketchStore>>,
-    snapshots: AtomicU64,
-    rows_enqueued: Arc<AtomicU64>,
-    /// Largest timestamp enqueued so far (drives [`TimeRange::LastBuckets`]).
-    max_time: Arc<AtomicU64>,
+    runtime: ShardRuntime<WindowShard>,
     /// This incarnation's cache epoch (the snapshot counter at spawn): a fresh
     /// engine starts at 0, a restored one at the manifest's counter. Tags
     /// every [`CacheSlot`] so a slot keyed by another incarnation's
@@ -1577,9 +1523,6 @@ pub struct TemporalIngestEngine {
     /// The merged-range cache: repeated range queries at the same ingest
     /// watermark return the identical snapshot without re-folding.
     range_cache: Mutex<VecDeque<CacheSlot>>,
-    /// Per-shard rows/blocks/ring counters plus checkpoint counters, exactly
-    /// as on the non-temporal engine.
-    metrics: Arc<EngineMetrics>,
     /// Stream-level temporal telemetry, shared by every shard's store.
     temporal_metrics: Arc<TemporalMetrics>,
 }
@@ -1612,58 +1555,30 @@ impl TemporalIngestEngine {
         let stores = (0..config.shards)
             .map(|shard| {
                 WindowedSketchStore::new(WindowConfig {
-                    // Wrapping, so any base seed is valid — and so the decode
-                    // path (which must never panic) derives the same per-shard
-                    // seed a live engine uses.
-                    seed: config.window.seed.wrapping_add(shard as u64),
+                    seed: shard_seed(config.window.seed, shard as u64),
                     ..config.window
                 })
             })
             .collect();
-        Ok(Self::spawn(config, stores, 0, 0, 0))
+        Ok(Self::spawn(config, stores, Resume::default()))
     }
 
     /// Spawns one worker per store; shared by [`new`](Self::new) (fresh stores)
     /// and [`restore`](Self::restore) (checkpointed stores).
-    fn spawn(
-        config: TemporalConfig,
-        stores: Vec<WindowedSketchStore>,
-        snapshots: u64,
-        rows_enqueued: u64,
-        max_time: u64,
-    ) -> Self {
-        let metrics = Arc::new(EngineMetrics::with_shards(stores.len()));
+    fn spawn(config: TemporalConfig, stores: Vec<WindowedSketchStore>, resume: Resume) -> Self {
         let temporal_metrics = Arc::new(TemporalMetrics::new());
-        let mut links = Vec::with_capacity(stores.len());
-        let mut workers = Vec::with_capacity(stores.len());
-        for (shard, mut store) in stores.into_iter().enumerate() {
-            store.set_metrics(Arc::clone(&temporal_metrics));
-            let (tx, rx) = std::sync::mpsc::channel();
-            let waker = Arc::new(Waker::new());
-            let worker_waker = Arc::clone(&waker);
-            let shard_metrics = Arc::clone(&metrics.shards[shard]);
-            workers.push(std::thread::spawn(move || {
-                run_worker(&rx, &worker_waker, store, &shard_metrics)
-            }));
-            links.push(ShardLink::new(
-                tx,
-                waker,
-                Arc::clone(&metrics.shards[shard].ring),
-            ));
-        }
+        let shards = stores
+            .into_iter()
+            .map(|store| WindowShard::new(store, &temporal_metrics))
+            .collect();
         Self {
             config,
-            links,
-            workers,
-            snapshots: AtomicU64::new(snapshots),
-            rows_enqueued: Arc::new(AtomicU64::new(rows_enqueued)),
-            max_time: Arc::new(AtomicU64::new(max_time)),
-            generation: snapshots,
+            runtime: ShardRuntime::spawn(shards, config.queue_depth, config.batch_rows, resume),
+            generation: resume.snapshots,
             // Every spawn (fresh or restored) starts with a cleared cache;
             // the generation tag above guards even hypothetical slot reuse
             // across incarnations.
             range_cache: Mutex::new(VecDeque::new()),
-            metrics,
             temporal_metrics,
         }
     }
@@ -1672,7 +1587,7 @@ impl TemporalIngestEngine {
     /// after a quiesce point such as a range capture or checkpoint).
     #[must_use]
     pub fn metrics(&self) -> &Arc<EngineMetrics> {
-        &self.metrics
+        self.runtime.metrics()
     }
 
     /// The engine's temporal telemetry (rotations, compactions, ladder churn,
@@ -1691,20 +1606,20 @@ impl TemporalIngestEngine {
     /// Number of worker shards.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.links.len()
+        self.runtime.shards()
     }
 
-    /// Rows handed to the shard queues so far (the cheap monotone progress
-    /// hint, exactly as on the non-temporal engine).
+    /// Rows handed to the shard queues so far: a cheap monotone progress hint
+    /// that excludes rows still buffered inside handles.
     #[must_use]
     pub fn rows_enqueued(&self) -> u64 {
-        self.rows_enqueued.load(Ordering::Relaxed)
+        self.runtime.rows_enqueued()
     }
 
     /// The largest timestamp enqueued so far (0 before any row).
     #[must_use]
     pub fn max_time(&self) -> u64 {
-        self.max_time.load(Ordering::Relaxed)
+        self.runtime.max_time()
     }
 
     /// The fine-bucket index the newest enqueued row falls in.
@@ -1736,12 +1651,7 @@ impl TemporalIngestEngine {
     /// [`EngineError::ShardDown`] naming the first shard whose worker could
     /// not register the new ring.
     pub fn try_handle(&self) -> Result<TemporalIngestHandle, EngineError> {
-        TemporalIngestHandle::connect(
-            &self.links,
-            self.config.ring_blocks(),
-            &self.rows_enqueued,
-            &self.max_time,
-        )
+        self.runtime.handle().map(TemporalIngestHandle)
     }
 
     /// Resolves a [`TimeRange`] to a fine-bucket index range `[start, end)`.
@@ -1770,40 +1680,30 @@ impl TemporalIngestEngine {
     /// indices), in shard order, each shard's buckets oldest first, together
     /// with whether *every* reply was raw (byte-identical to the leaf path)
     /// and the total rows the shards had *applied* when they reported. Each
-    /// worker first drains a cut of its data rings (the blocks queued at
-    /// request time) and settles deferred compaction, so all previously
-    /// enqueued batches are applied first. With `leaf` set the shards bypass
-    /// the dyadic index and report every overlapping bucket (the reference
-    /// path for equivalence tests and benchmarks).
+    /// worker first quiesces (drains a cut of its data rings and settles
+    /// deferred compaction), so all previously enqueued batches are applied
+    /// first. With `leaf` set the shards bypass the dyadic index and report
+    /// every overlapping bucket (the reference path for equivalence tests and
+    /// benchmarks).
     fn collect_reports(
         &self,
         start: u64,
         end: u64,
         leaf: bool,
     ) -> Result<(Vec<BucketReport>, bool, u64), EngineError> {
-        let receivers: Vec<_> = self
-            .links
-            .iter()
-            .enumerate()
-            .map(|(shard, link)| {
-                let (tx, rx) = std::sync::mpsc::channel();
-                link.try_send(TemporalMsg::Range {
-                    start,
-                    end,
-                    leaf,
-                    reply: tx,
-                })
-                .map_err(|()| EngineError::ShardDown { shard })?;
-                Ok(rx)
-            })
-            .collect::<Result<_, EngineError>>()?;
+        let replies = self.runtime.request(move |shard: &mut WindowShard| {
+            let store = &mut shard.store;
+            let (reports, raw) = if leaf {
+                (store.range_reports(start, end), true)
+            } else {
+                store.indexed_range_reports(start, end)
+            };
+            (reports, raw, store.rows_processed())
+        })?;
         let mut reports = Vec::new();
         let mut all_raw = true;
         let mut applied = 0u64;
-        for (shard, rx) in receivers.into_iter().enumerate() {
-            // The send above raced a dying worker if this recv fails.
-            let (shard_reports, raw, shard_rows) =
-                rx.recv().map_err(|_| EngineError::ShardDown { shard })?;
+        for (shard_reports, raw, shard_rows) in replies {
             reports.extend(shard_reports);
             all_raw &= raw;
             applied += shard_rows;
@@ -1816,18 +1716,16 @@ impl TemporalIngestEngine {
     /// every byte of the pre-ladder behaviour for single-bucket spans — while
     /// pre-merged sets use the one-reduction multiway fold.
     fn fold_collected(&self, reports: Vec<BucketReport>, raw: bool) -> WeightedSpaceSaving {
-        let n = self.snapshots.fetch_add(1, Ordering::Relaxed);
-        let salt = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let salt = self.runtime.next_salt();
         let seed = self.config.window.seed;
         let capacity = self.config.window.capacity;
-        let merge_seed = seed ^ FOLD_MERGE_SALT ^ salt;
-        let out_seed = seed ^ FOLD_OUT_SALT ^ salt;
-        let parts = reports.into_iter().map(|r| (r.entries, r.rows));
-        if raw {
-            fold_unbiased(capacity, merge_seed, out_seed, parts)
-        } else {
-            fold_unbiased_multiway(capacity, merge_seed, out_seed, parts)
-        }
+        fold_parts(
+            capacity,
+            seed ^ FOLD_MERGE_SALT ^ salt,
+            seed ^ FOLD_OUT_SALT ^ salt,
+            reports,
+            !raw,
+        )
     }
 
     /// The deterministic well-formed answer for a range that resolves to no
@@ -1868,12 +1766,24 @@ impl TemporalIngestEngine {
     /// # Errors
     ///
     /// [`EngineError::ShardDown`] naming the first dead shard found.
-    pub fn try_range_snapshot(&self, range: &TimeRange) -> Result<WeightedSpaceSaving, EngineError> {
+    pub fn try_range_snapshot(
+        &self,
+        range: &TimeRange,
+    ) -> Result<WeightedSpaceSaving, EngineError> {
+        self.try_fold_range(range, false)
+    }
+
+    /// Resolves and folds `range` through the ladder, or leaf by leaf.
+    fn try_fold_range(
+        &self,
+        range: &TimeRange,
+        leaf: bool,
+    ) -> Result<WeightedSpaceSaving, EngineError> {
         let (start, end) = self.resolve_range(range);
         if start >= end {
             return Ok(self.empty_range_snapshot());
         }
-        let (reports, all_raw, _) = self.collect_reports(start, end, false)?;
+        let (reports, all_raw, _) = self.collect_reports(start, end, leaf)?;
         Ok(self.fold_collected(reports, all_raw))
     }
 
@@ -1884,15 +1794,10 @@ impl TemporalIngestEngine {
     /// ladder answers against.
     #[must_use]
     pub fn range_snapshot_leaf(&self, range: &TimeRange) -> WeightedSpaceSaving {
-        let (start, end) = self.resolve_range(range);
-        if start >= end {
-            return self.empty_range_snapshot();
-        }
-        let (reports, _, _) = match self.collect_reports(start, end, true) {
-            Ok(collected) => collected,
+        match self.try_fold_range(range, true) {
+            Ok(merged) => merged,
             Err(err) => panic!("{err}"),
-        };
-        self.fold_collected(reports, true)
+        }
     }
 
     /// The cached form of [`range_snapshot`](Self::range_snapshot): repeated
@@ -1978,9 +1883,8 @@ impl TemporalIngestEngine {
     /// Writes a durable checkpoint of the whole engine into `dir`: one
     /// bucket-ring file per shard (fine buckets with full RNG + structure
     /// images, compacted tiers, the terminal bucket, and the dyadic-ladder
-    /// nodes built so far) plus a temporal manifest.
-    /// Quiesces each shard with a ring cut exactly as the non-temporal
-    /// engine's checkpoint does; ingest continues afterwards.
+    /// nodes built so far) plus a temporal manifest. Each shard quiesces
+    /// first; ingest continues afterwards.
     ///
     /// The checkpoint is *resilient per shard*: a dead worker or a failed
     /// write on one shard does not abort the remaining shards' writes — every
@@ -1995,58 +1899,8 @@ impl TemporalIngestEngine {
     /// manifest cannot be written; [`EngineError::CheckpointIncomplete`]
     /// listing the per-shard failures otherwise.
     pub fn checkpoint<P: AsRef<std::path::Path>>(&self, dir: P) -> Result<(), EngineError> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(PersistError::Io)?;
-        let receivers: Vec<_> = self
-            .links
-            .iter()
-            .map(|link| {
-                let (tx, rx) = std::sync::mpsc::channel();
-                link.try_send(TemporalMsg::Checkpoint(tx)).map(|()| rx)
-            })
-            .collect();
-        let meta = persist::TemporalMeta::from_config(&self.config);
-        let mut failures = Vec::new();
-        let mut rows = 0u64;
-        for (shard, receiver) in receivers.into_iter().enumerate() {
-            let store = match receiver.map(|rx| rx.recv()) {
-                Ok(Ok(store)) => store,
-                Ok(Err(_)) | Err(()) => {
-                    failures.push(ShardFailure { shard, fault: ShardFault::Down });
-                    continue;
-                }
-            };
-            rows += store.rows_processed();
-            match persist::write_file(
-                &dir.join(Self::shard_file_name(shard)),
-                &persist::encode_temporal_shard_indexed(shard as u64, meta, &store),
-            ) {
-                Ok(bytes) => {
-                    self.metrics.checkpoint_bytes.add(bytes);
-                    self.metrics.checkpoint_frames.inc();
-                }
-                Err(err) => {
-                    self.metrics.checkpoint_failures.inc();
-                    failures.push(ShardFailure { shard, fault: ShardFault::Persist(err) });
-                }
-            }
-        }
-        if !failures.is_empty() {
-            return Err(EngineError::CheckpointIncomplete { failures });
-        }
-        let manifest = persist::TemporalManifest {
-            meta,
-            snapshots: self.snapshots.load(Ordering::Relaxed),
-            rows,
-        };
-        let bytes = persist::write_file(
-            &dir.join(Self::MANIFEST_FILE),
-            &persist::encode_temporal_manifest(&manifest),
-        )
-        .map_err(EngineError::Persist)?;
-        self.metrics.checkpoint_bytes.add(bytes);
-        self.metrics.checkpoint_frames.inc();
-        Ok(())
+        self.runtime
+            .checkpoint(dir.as_ref(), TemporalMeta::from_config(&self.config))
     }
 
     /// Kills the worker thread of `shard` by making it panic. Fault injection
@@ -2056,12 +1910,7 @@ impl TemporalIngestEngine {
     /// sent after this observes the dead worker deterministically.
     #[doc(hidden)]
     pub fn debug_kill_shard(&self, shard: usize) {
-        self.links[shard].send_lossy(TemporalMsg::Poison);
-        // Wait for the unwind to drop the worker's control receiver, so the
-        // *next* control request fails at send time rather than racing.
-        while self.links[shard].try_send(TemporalMsg::Poison).is_ok() {
-            std::thread::yield_now();
-        }
+        self.runtime.debug_kill_shard(shard);
     }
 
     /// Resumes an engine from a [`checkpoint`](Self::checkpoint) directory. The
@@ -2080,44 +1929,17 @@ impl TemporalIngestEngine {
         dir: P,
         config: TemporalConfig,
     ) -> Result<Self, PersistError> {
-        let dir = dir.as_ref();
-        let manifest =
-            persist::decode_temporal_manifest(&std::fs::read(dir.join(Self::MANIFEST_FILE))?)?;
-        let expected = persist::TemporalMeta::from_config(&config);
-        if manifest.meta != expected {
-            return Err(PersistError::Corrupt(format!(
-                "config {expected:?} does not match the checkpoint {:?}",
-                manifest.meta
-            )));
-        }
-        let mut stores = Vec::with_capacity(config.shards);
-        let mut rows = 0u64;
-        let mut max_time = 0u64;
-        for shard in 0..config.shards {
-            let bytes = std::fs::read(dir.join(Self::shard_file_name(shard)))?;
-            let (index, file_meta, store) = persist::decode_temporal_shard(&bytes)?;
-            if index != shard as u64 {
-                return Err(PersistError::Corrupt(format!(
-                    "file {} holds shard {index}",
-                    Self::shard_file_name(shard)
-                )));
-            }
-            if file_meta != manifest.meta {
-                return Err(PersistError::Corrupt(format!(
-                    "shard {shard} was written by a different engine than the manifest"
-                )));
-            }
-            rows += store.rows_processed();
-            max_time = max_time.max(store.last_time());
-            stores.push(store);
-        }
-        if rows != manifest.rows {
-            return Err(PersistError::Corrupt(format!(
-                "shard files hold {rows} rows but the manifest records {}",
-                manifest.rows
-            )));
-        }
-        Ok(Self::spawn(config, stores, manifest.snapshots, rows, max_time))
+        let (stores, mut resume) = ShardRuntime::<WindowShard>::restore(
+            dir.as_ref(),
+            config.shards,
+            TemporalMeta::from_config(&config),
+        )?;
+        resume.max_time = stores
+            .iter()
+            .map(WindowedSketchStore::last_time)
+            .max()
+            .unwrap_or(0);
+        Ok(Self::spawn(config, stores, resume))
     }
 
     /// The manifest file name inside a checkpoint directory.
@@ -2126,41 +1948,36 @@ impl TemporalIngestEngine {
     /// The bucket-ring file name for shard `i` inside a checkpoint directory.
     #[must_use]
     pub fn shard_file_name(shard: usize) -> String {
-        format!("window-{shard:04}.uss")
+        ShardRuntime::<WindowShard>::shard_file_name(shard)
     }
 
     /// Stops every worker after it drains its queue, joins them, and folds the
-    /// whole history with the unbiased PPS merge under the same unsalted seeds
-    /// the non-temporal engine's `finish` uses. Stop producers first, exactly
-    /// as with [`crate::engine::ShardedIngestEngine::finish`].
+    /// whole history with the unbiased PPS merge under the engine's unsalted
+    /// seeds. Stop producers first: rows offered concurrently with or after
+    /// `finish` race the shutdown.
     #[must_use]
     pub fn finish(self) -> WeightedSpaceSaving {
         let seed = self.config.window.seed;
         let capacity = self.config.window.capacity;
         let stores = self.finish_stores();
-        fold_unbiased(
+        let reports = stores.iter().flat_map(|s| s.range_reports(0, u64::MAX));
+        fold_parts(
             capacity,
             seed ^ FOLD_MERGE_SALT,
             seed ^ FOLD_OUT_SALT,
-            stores
-                .iter()
-                .flat_map(|s| s.range_reports(0, u64::MAX))
-                .map(|r| (r.entries, r.rows)),
+            reports,
+            false,
         )
     }
 
     /// Stops and joins the workers, returning each shard's final store (for
     /// callers that want the per-bucket structure rather than a merged fold).
     #[must_use]
-    pub fn finish_stores(mut self) -> Vec<WindowedSketchStore> {
-        for link in &self.links {
-            // A worker is only gone if it panicked; join below surfaces that.
-            link.send_lossy(TemporalMsg::Shutdown);
-        }
-        self.links.clear();
-        self.workers
-            .drain(..)
-            .map(|worker| worker.join().expect("temporal ingest worker panicked"))
+    pub fn finish_stores(self) -> Vec<WindowedSketchStore> {
+        self.runtime
+            .finish()
+            .into_iter()
+            .map(|shard| shard.store)
             .collect()
     }
 }
@@ -2206,84 +2023,38 @@ impl SnapshotSource for TemporalRangeSource<'_> {
 
 /// A producer-side handle for timestamped rows: routes by item hash (every
 /// occurrence of an item lands on the same shard, keeping frequent-item counts
-/// sharp) and ships `(item, timestamp)` pairs in recycled [`RowBlock`]s over
-/// per-shard SPSC rings, exactly like the non-temporal
-/// [`crate::engine::IngestHandle`]. Rows still in the handle's partial blocks
-/// are sent on drop (best-effort) or by [`flush`](Self::flush).
-#[derive(Debug)]
-pub struct TemporalIngestHandle {
-    /// Engine endpoints, kept for ring registration on [`Clone`].
-    links: Vec<ShardLink<TemporalMsg>>,
-    /// One block sender per shard; this handle is the ring's single producer.
-    senders: Vec<BlockSender<(u64, u64)>>,
-    /// The partially filled block per shard, swapped out when full.
-    // Boxed: the ring transports blocks as `Box<RowBlock>` so a send moves one
-    // pointer, never the multi-KiB payload.
-    #[allow(clippy::vec_box)]
-    blocks: Vec<Box<RowBlock<(u64, u64)>>>,
-    ring_blocks: usize,
-    rows_enqueued: Arc<AtomicU64>,
-    max_time: Arc<AtomicU64>,
-}
+/// sharp) and ships `(item, timestamp)` pairs in recycled blocks over
+/// per-shard SPSC rings. Rows still in the handle's partial blocks are sent on
+/// drop (best-effort) or by [`flush`](Self::flush). Cloning registers fresh
+/// rings of its own (and panics if a worker is gone; use
+/// [`TemporalIngestEngine::try_handle`] for the typed error).
+#[derive(Debug, Clone)]
+pub struct TemporalIngestHandle(ProducerHandle<WindowShard>);
 
 impl TemporalIngestHandle {
-    /// Builds a handle wired to `links`: one block channel per shard, each
-    /// registered with its worker before any row can be sent over it.
-    fn connect(
-        links: &[ShardLink<TemporalMsg>],
-        ring_blocks: usize,
-        rows_enqueued: &Arc<AtomicU64>,
-        max_time: &Arc<AtomicU64>,
-    ) -> Result<Self, EngineError> {
-        let mut senders = Vec::with_capacity(links.len());
-        let mut blocks = Vec::with_capacity(links.len());
-        for (shard, link) in links.iter().enumerate() {
-            let (tx, rx) = block_channel_with_counters(
-                ring_blocks,
-                Arc::clone(link.waker()),
-                Arc::clone(link.ring_counters()),
-            );
-            link.try_send(TemporalMsg::Register(rx))
-                .map_err(|()| EngineError::ShardDown { shard })?;
-            blocks.push(RowBlock::boxed());
-            senders.push(tx);
-        }
-        Ok(Self {
-            links: links.to_vec(),
-            senders,
-            blocks,
-            ring_blocks,
-            rows_enqueued: Arc::clone(rows_enqueued),
-            max_time: Arc::clone(max_time),
-        })
-    }
-
     /// Offers one row of `item` stamped `ts`. Lock-free; parks only when the
     /// destination shard's ring is full (the engine's backpressure).
     #[inline]
     pub fn offer_at(&mut self, item: u64, ts: u64) {
-        let shard = self.route(item);
-        if self.blocks[shard].push((item, ts)) {
-            self.dispatch(shard);
-        }
+        self.0.offer((item, ts));
     }
 
     /// Fallible [`offer_at`](Self::offer_at): a dead destination worker fails
     /// this row's dispatch with [`EngineError::ShardDown`] instead of
     /// panicking.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::ShardDown`] naming the dead shard.
     #[inline]
     pub fn try_offer_at(&mut self, item: u64, ts: u64) -> Result<(), EngineError> {
-        let shard = self.route(item);
-        if self.blocks[shard].push((item, ts)) {
-            self.try_dispatch(shard)?;
-        }
-        Ok(())
+        self.0.try_offer((item, ts))
     }
 
     /// Offers a batch of `(item, timestamp)` rows.
     pub fn offer_batch_at(&mut self, rows: &[(u64, u64)]) {
-        for &(item, ts) in rows {
-            self.offer_at(item, ts);
+        for &row in rows {
+            self.0.offer(row);
         }
     }
 
@@ -2294,19 +2065,12 @@ impl TemporalIngestHandle {
     ///
     /// [`EngineError::ShardDown`] naming the dead shard.
     pub fn try_offer_batch_at(&mut self, rows: &[(u64, u64)]) -> Result<(), EngineError> {
-        for &(item, ts) in rows {
-            self.try_offer_at(item, ts)?;
-        }
-        Ok(())
+        rows.iter().try_for_each(|&row| self.0.try_offer(row))
     }
 
     /// Ships every partially filled block to its shard, emptying the handle.
     pub fn flush(&mut self) {
-        for shard in 0..self.blocks.len() {
-            if !self.blocks[shard].is_empty() {
-                self.dispatch(shard);
-            }
-        }
+        self.0.flush();
     }
 
     /// Fallible [`flush`](Self::flush). Keeps going past dead shards so every
@@ -2316,121 +2080,42 @@ impl TemporalIngestHandle {
     ///
     /// [`EngineError::ShardDown`] naming the first dead shard encountered.
     pub fn try_flush(&mut self) -> Result<(), EngineError> {
-        let mut first_err = Ok(());
-        for shard in 0..self.blocks.len() {
-            if !self.blocks[shard].is_empty() {
-                let result = self.try_dispatch(shard);
-                if first_err.is_ok() {
-                    first_err = result;
-                }
-            }
-        }
-        first_err
-    }
-
-    #[inline]
-    fn route(&self, item: u64) -> usize {
-        if self.senders.len() == 1 {
-            return 0;
-        }
-        // The same multiply-shift routing as the non-temporal IngestHandle.
-        ((u128::from(splitmix64(item)) * self.senders.len() as u128) >> 64) as usize
-    }
-
-    /// Advances the enqueue counters for an outgoing block and returns it.
-    fn account(&self, block: Box<RowBlock<(u64, u64)>>) -> Box<RowBlock<(u64, u64)>> {
-        self.rows_enqueued
-            .fetch_add(block.len() as u64, Ordering::Relaxed);
-        let newest = block.as_slice().iter().map(|&(_, ts)| ts).max();
-        if let Some(ts) = newest {
-            self.max_time.fetch_max(ts, Ordering::Relaxed);
-        }
-        block
-    }
-
-    /// Sends the current block (recycling a spent one in its place), parking
-    /// while the ring is full.
-    fn dispatch(&mut self, shard: usize) {
-        if self.try_dispatch(shard).is_err() {
-            panic!("temporal shard worker disconnected");
-        }
-    }
-
-    /// Fallible [`dispatch`]: a closed ring (dead worker) drops the block's
-    /// rows and reports [`EngineError::ShardDown`] instead of panicking.
-    fn try_dispatch(&mut self, shard: usize) -> Result<(), EngineError> {
-        let block = std::mem::replace(&mut self.blocks[shard], self.senders[shard].acquire());
-        // Accounting happens before the send (the order the range cache's
-        // `applied >= rows` soundness guard is written against); a failed send
-        // leaves a small overcount on a shard that is already reported dead.
-        let block = self.account(block);
-        self.senders[shard]
-            .send(block)
-            .map_err(|_| EngineError::ShardDown { shard })
+        self.0.try_flush()
     }
 }
 
-impl Clone for TemporalIngestHandle {
-    /// Clones the routing state with fresh rings of its own: the new handle
-    /// registers one new block channel per shard and starts with empty blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker is gone (use [`TemporalIngestEngine::try_handle`] on
-    /// the engine to get the typed error instead).
-    fn clone(&self) -> Self {
-        match Self::connect(
-            &self.links,
-            self.ring_blocks,
-            &self.rows_enqueued,
-            &self.max_time,
-        ) {
-            Ok(handle) => handle,
-            Err(err) => panic!("{err}"),
-        }
-    }
-}
-
-impl Drop for TemporalIngestHandle {
-    /// Best-effort flush so producer threads cannot silently drop buffered rows.
-    /// Dropping the senders afterwards closes the rings, which is what lets
-    /// each worker retire them once drained.
-    fn drop(&mut self) {
-        for shard in 0..self.blocks.len() {
-            if !self.blocks[shard].is_empty() {
-                let block = std::mem::replace(&mut self.blocks[shard], RowBlock::boxed());
-                let block = self.account(block);
-                // After `finish` the workers are gone; losing the send then is fine.
-                let _ = self.senders[shard].send(block);
-            }
-        }
-    }
-}
-
-/// Per-ring budget of blocks drained per scan pass, bounding how long a pass
-/// can run before the worker re-checks the control channel. Matches the
-/// non-temporal engine's budget.
-const DRAIN_BUDGET: usize = 64;
-
-/// A temporal shard worker's mutable state: its store, the producer rings it
-/// polls, and the scratch buffer for timestamp runs.
-struct TemporalWorker {
+/// One temporal shard: its bucket-ring store, plus a scratch buffer for runs
+/// of equal timestamps. Tier compaction is deferred to idle slots, and the
+/// dyadic ladder is built there too.
+pub(crate) struct WindowShard {
     store: WindowedSketchStore,
-    rings: Vec<BlockReceiver<(u64, u64)>>,
     /// Scratch buffer for runs of equal timestamps, reused across blocks.
     run_items: Vec<u64>,
-    metrics: Arc<ShardMetrics>,
 }
 
-impl TemporalWorker {
+impl WindowShard {
+    fn new(mut store: WindowedSketchStore, metrics: &Arc<TemporalMetrics>) -> Self {
+        store.set_metrics(Arc::clone(metrics));
+        store.set_defer_compaction(true);
+        Self {
+            store,
+            run_items: Vec::new(),
+        }
+    }
+}
+
+impl ShardState for WindowShard {
+    type Row = (u64, u64);
+    type Image = WindowedSketchStore;
+    type Meta = TemporalMeta;
+    const MANIFEST_FILE: &'static str = TemporalIngestEngine::MANIFEST_FILE;
+    const SHARD_FILE_STEM: &'static str = "window";
+
     /// Applies one block of `(item, timestamp)` rows. Real blocks are dominated
     /// by runs of equal timestamps; applying each run through `offer_batch_at`
     /// (exactly equivalent to per-row offers) pays the bucket resolution once
-    /// per run instead of once per row. Metrics cost: two Relaxed adds per
-    /// block, never per row.
+    /// per run instead of once per row.
     fn apply(&mut self, rows: &[(u64, u64)]) {
-        self.metrics.rows.add(rows.len() as u64);
-        self.metrics.blocks.inc();
         let mut i = 0;
         while i < rows.len() {
             let ts = rows[i].1;
@@ -2450,191 +2135,61 @@ impl TemporalWorker {
         }
     }
 
-    /// One bounded scan over all rings. Returns `true` if any block was
-    /// applied. Rings whose producer is gone and which are fully drained are
-    /// retired.
-    fn scan_rings(&mut self) -> bool {
-        let mut progressed = false;
-        for i in 0..self.rings.len() {
-            for _ in 0..DRAIN_BUDGET {
-                match self.rings[i].recv() {
-                    Some(block) => {
-                        progressed = true;
-                        self.apply(block.as_slice());
-                        self.rings[i].recycle(block);
-                    }
-                    None => break,
-                }
-            }
-        }
-        self.rings.retain(|ring| !ring.is_finished());
-        progressed
-    }
-
-    /// Drains a *cut* of every ring — exactly the blocks queued at the moment
-    /// this is called — then settles deferred compaction, so the store's tier
-    /// state is canonical before it is observed. Blocks pushed concurrently
-    /// with the drain are left for the normal scan, so a fast producer cannot
-    /// stall a quiesce.
+    /// Settles deferred compaction, so the tier state is canonical before it
+    /// is observed.
     fn quiesce(&mut self) {
-        for i in 0..self.rings.len() {
-            let cut = self.rings[i].queued();
-            for _ in 0..cut {
-                // Every counted block is already published; recv cannot fail here.
-                let block = self.rings[i].recv().expect("queued block vanished");
-                self.apply(block.as_slice());
-                self.rings[i].recycle(block);
-            }
-        }
-        self.rings.retain(|ring| !ring.is_finished());
         self.store.settle_all();
-        // Quiesce points (range reads, checkpoints, shutdown) sample the live
-        // sketches' resident size, off the per-block path.
-        self.metrics
-            .sketch_memory
-            .record_max(self.store.memory_bytes());
     }
-}
 
-/// The temporal shard worker loop: poll producer rings and the control channel,
-/// apply timestamped blocks (rotating the window as time advances), answer
-/// range reports and checkpoint requests, park when idle, and hand the final
-/// store back through the join handle.
-///
-/// Maintenance — deferred tier compaction and dyadic-ladder node builds — runs
-/// one bounded unit at a time, and only once the worker has *parked* since the
-/// last applied block: a park means the producers were genuinely quiet, not
-/// just refilling a block. Momentary ring gaps during active ingest therefore
-/// never pay a compaction or ladder fold — on few-core hosts that maintenance
-/// steals the producer's cycles and was the dominant cost of the
-/// rotating-ingest path. Every request that observes store state quiesces
-/// first (ring cut + settle), so deferral is invisible to queries, checkpoints
-/// and the final store.
-fn run_worker(
-    control: &Receiver<TemporalMsg>,
-    waker: &Waker,
-    store: WindowedSketchStore,
-    metrics: &Arc<ShardMetrics>,
-) -> WindowedSketchStore {
-    let mut w = TemporalWorker {
-        store,
-        rings: Vec::new(),
-        run_items: Vec::new(),
-        metrics: Arc::clone(metrics),
-    };
-    w.store.set_defer_compaction(true);
-    let mut engine_alive = true;
-    // Whether the worker has parked since it last applied a block — the
-    // "producers are genuinely quiet" signal that admits idle maintenance.
-    let mut quiet = true;
-    loop {
-        let mut progressed = false;
-        // Control first: registrations and quiesce requests.
-        loop {
-            match control.try_recv() {
-                Ok(msg) => {
-                    progressed = true;
-                    if handle_control(&mut w, msg) == Flow::Stop {
-                        w.store.set_defer_compaction(false);
-                        return w.store;
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    // Engine and every handle are gone: no new rings, no requests.
-                    engine_alive = false;
-                    break;
-                }
-            }
-        }
-        if w.scan_rings() {
-            progressed = true;
-            quiet = false;
-        }
-        if !engine_alive && w.rings.is_empty() {
-            // Nothing can ever arrive again (the engine was dropped without
-            // `finish`); exit so the thread does not leak.
-            w.store.set_defer_compaction(false);
-            return w.store;
-        }
-        if !progressed {
-            if quiet && (w.store.settle_one() || w.store.ladder_idle_step()) {
-                // One bounded unit of idle maintenance, then re-check inputs.
-                continue;
-            }
-            waker.prepare();
-            // Re-check under the raised flag: a producer push or control send
-            // between the empty scan and `prepare` would otherwise be missed.
-            let pending = w.rings.iter().any(|ring| !ring.is_empty())
-                || w.rings.iter().any(BlockReceiver::is_finished);
-            match control.try_recv() {
-                Ok(msg) => {
-                    waker.cancel();
-                    if handle_control(&mut w, msg) == Flow::Stop {
-                        w.store.set_defer_compaction(false);
-                        return w.store;
-                    }
-                }
-                Err(TryRecvError::Disconnected) => {
-                    waker.cancel();
-                    engine_alive = false;
-                }
-                Err(TryRecvError::Empty) => {
-                    if pending {
-                        waker.cancel();
-                    } else {
-                        waker.park();
-                        quiet = true;
-                    }
-                }
-            }
-        }
+    fn memory_bytes(&self) -> u64 {
+        self.store.memory_bytes()
     }
-}
 
-/// Whether the worker keeps running after a control message.
-#[derive(PartialEq, Eq)]
-enum Flow {
-    Continue,
-    Stop,
-}
-
-/// Handles one control message; requests that observe store state quiesce
-/// (ring cut + settle) first.
-fn handle_control(w: &mut TemporalWorker, msg: TemporalMsg) -> Flow {
-    match msg {
-        TemporalMsg::Register(ring) => w.rings.push(ring),
-        TemporalMsg::Range {
-            start,
-            end,
-            leaf,
-            reply,
-        } => {
-            w.quiesce();
-            let (reports, raw) = if leaf {
-                (w.store.range_reports(start, end), true)
-            } else {
-                w.store.indexed_range_reports(start, end)
-            };
-            let _ = reply.send((reports, raw, w.store.rows_processed()));
-        }
-        TemporalMsg::Checkpoint(reply) => {
-            w.quiesce();
-            let _ = reply.send(w.store.clone());
-        }
-        TemporalMsg::Shutdown => {
-            w.quiesce();
-            return Flow::Stop;
-        }
-        // Test-only fault injection; see `debug_kill_shard`.
-        TemporalMsg::Poison => panic!("temporal shard worker poisoned by debug_kill_shard"),
+    /// One deferred tier compaction, else one missing ladder node.
+    fn idle_step(&mut self) -> bool {
+        self.store.settle_one() || self.store.ladder_idle_step()
     }
-    Flow::Continue
+
+    fn finish(&mut self) {
+        self.store.set_defer_compaction(false);
+    }
+
+    fn image(&self) -> WindowedSketchStore {
+        self.store.clone()
+    }
+
+    fn image_rows(image: &WindowedSketchStore) -> u64 {
+        image.rows_processed()
+    }
+
+    fn encode_shard(shard: usize, meta: TemporalMeta, image: &WindowedSketchStore) -> Vec<u8> {
+        persist::encode_temporal_shard_indexed(shard as u64, meta, image)
+    }
+
+    fn decode_shard(
+        bytes: &[u8],
+    ) -> Result<(u64, TemporalMeta, WindowedSketchStore), PersistError> {
+        persist::decode_temporal_shard(bytes)
+    }
+
+    fn encode_manifest(meta: TemporalMeta, snapshots: u64, rows: u64) -> Vec<u8> {
+        persist::encode_temporal_manifest(&TemporalManifest {
+            meta,
+            snapshots,
+            rows,
+        })
+    }
+
+    fn decode_manifest(bytes: &[u8]) -> Result<(TemporalMeta, u64, u64), PersistError> {
+        let manifest = persist::decode_temporal_manifest(bytes)?;
+        Ok((manifest.meta, manifest.snapshots, manifest.rows))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ShardFault;
 
     fn store(width: u64, fine: usize, tiers: usize, factor: usize) -> WindowedSketchStore {
         WindowedSketchStore::new(
@@ -3222,6 +2777,37 @@ mod tests {
         assert_eq!(a.entries(), b.entries());
         let _ = engine.finish();
         let _ = twin.finish();
+    }
+
+    #[test]
+    fn maximal_seed_spawns_without_overflow() {
+        let config = TemporalConfig::new(2, 8, u64::MAX, 10, 4);
+        let engine = TemporalIngestEngine::try_new(config).unwrap();
+        let mut handle = engine.handle();
+        for ts in 0..1_000u64 {
+            handle.offer_at(ts % 40, ts);
+        }
+        handle.flush();
+        assert_eq!(engine.finish().rows_processed(), 1_000);
+    }
+
+    #[test]
+    fn finish_without_a_capture_records_sketch_memory() {
+        let engine =
+            TemporalIngestEngine::new(TemporalConfig::new(2, 32, 12, 10, 4).with_batch_rows(64));
+        let metrics = Arc::clone(engine.metrics());
+        let mut handle = engine.handle();
+        for ts in 0..2_000u64 {
+            handle.offer_at(ts % 300, ts / 50);
+        }
+        handle.flush();
+        drop(engine.finish());
+        for (shard, m) in metrics.shards.iter().enumerate() {
+            assert!(
+                m.sketch_memory.get() > 0,
+                "shard {shard} sampled no sketch memory"
+            );
+        }
     }
 
     #[test]

@@ -80,12 +80,18 @@ fn assert_same_files(golden: &Path, written: &Path) {
     };
     assert_eq!(names(&actual), names(&expected), "checkpoint file set");
     for ((name, want), (_, got)) in expected.iter().zip(&actual) {
-        assert!(got == want, "{name}: re-checkpoint is not byte-identical to the golden file");
+        assert!(
+            got == want,
+            "{name}: re-checkpoint is not byte-identical to the golden file"
+        );
     }
 }
 
 fn entry_bits(entries: &[(u64, f64)]) -> Vec<(u64, u64)> {
-    entries.iter().map(|&(item, c)| (item, c.to_bits())).collect()
+    entries
+        .iter()
+        .map(|&(item, c)| (item, c.to_bits()))
+        .collect()
 }
 
 /// `finish()` of the restored plain engine, recorded when the files were written.
